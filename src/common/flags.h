@@ -5,7 +5,9 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <system_error>
+#include <type_traits>
 #include <vector>
 
 namespace coane {
@@ -13,14 +15,21 @@ namespace flags {
 
 /// Strict whole-string numeric parse: the value must be non-empty, every
 /// byte must be consumed, and the result must be in range. This is the
-/// repo's one numeric-flag policy — no exceptions, no silent prefix
-/// parses ("8x" is not 8), no atoi-style zero-on-garbage.
+/// repo's one numeric policy, for flags and for the fields of every text
+/// format — no exceptions, no silent prefix parses ("8x" is not 8), no
+/// atoi-style zero-on-garbage, no sign on unsigned types. `base` applies
+/// to integer types (16 parses the hex fields Hex32/Hex64 write).
 template <typename T>
-bool ParseWhole(const std::string& value, T* out) {
+bool ParseWhole(std::string_view value, T* out, int base = 10) {
   const char* begin = value.data();
   const char* end = begin + value.size();
-  auto [ptr, ec] = std::from_chars(begin, end, *out);
-  return ec == std::errc() && ptr == end && !value.empty();
+  std::from_chars_result r;
+  if constexpr (std::is_integral_v<T>) {
+    r = std::from_chars(begin, end, *out, base);
+  } else {
+    r = std::from_chars(begin, end, *out);
+  }
+  return r.ec == std::errc() && r.ptr == end && !value.empty();
 }
 
 /// Reports a malformed numeric flag value on stderr and exits 2, the

@@ -68,4 +68,17 @@ std::string FormatDouble(double value, int digits) {
   return std::string(buf);
 }
 
+std::string Hex32(uint32_t value) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "%08x", value);
+  return buf;
+}
+
+std::string Hex64(uint64_t value) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(value));
+  return buf;
+}
+
 }  // namespace coane

@@ -1,6 +1,7 @@
 #ifndef COANE_COMMON_STRING_UTILS_H_
 #define COANE_COMMON_STRING_UTILS_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,6 +27,11 @@ std::string Join(const std::vector<std::string>& parts,
 
 /// Formats a double with `digits` decimal places (fixed notation).
 std::string FormatDouble(double value, int digits);
+
+/// Zero-padded lowercase hex: 8 digits for CRCs, 16 for fingerprints —
+/// the rendering every text format and diagnostic shares.
+std::string Hex32(uint32_t value);
+std::string Hex64(uint64_t value);
 
 }  // namespace coane
 

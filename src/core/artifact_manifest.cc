@@ -1,47 +1,21 @@
 #include "core/artifact_manifest.h"
 
-#include <charconv>
-#include <cstdio>
 #include <utility>
 
 #include "common/atomic_file.h"
 #include "common/checksum.h"
+#include "common/flags.h"
 #include "common/string_utils.h"
 
 namespace coane {
 namespace {
 
 constexpr char kHeader[] = "COANE-MANIFEST v1";
-constexpr char kFooterPrefix[] = "# crc32 ";
 
 bool HasUnrepresentableChar(const std::string& s) {
   return s.find('\t') != std::string::npos ||
          s.find('\n') != std::string::npos ||
          s.find('\r') != std::string::npos;
-}
-
-template <typename T>
-bool ParseHex(const std::string& s, T* out) {
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out, 16);
-  return ec == std::errc() && ptr == s.data() + s.size();
-}
-
-bool ParseDec(const std::string& s, uint64_t* out) {
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out, 10);
-  return ec == std::errc() && ptr == s.data() + s.size();
-}
-
-std::string Hex32(uint32_t v) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%08x", v);
-  return buf;
-}
-
-std::string Hex64(uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
 }
 
 }  // namespace
@@ -80,70 +54,35 @@ Status ArtifactManifest::Save(const std::string& path) const {
     out += e.kind + "\t" + e.path + "\t" + std::to_string(e.size_bytes) +
            "\t" + Hex32(e.crc32) + "\t" + Hex64(e.config_fingerprint) + "\n";
   }
-  out += kFooterPrefix + Hex32(Crc32(out)) + "\n";
-  return WriteFileAtomic(path, out, "manifest.write");
+  return WriteFileAtomic(path, SealText(std::move(out)), "manifest.write");
 }
 
 Result<ArtifactManifest> ArtifactManifest::Load(const std::string& path) {
   auto raw = ReadFileToString(path);
   if (!raw.ok()) return raw.status();
-  const std::string& content = raw.value();
+  auto body = UnsealText(raw.value(), "manifest " + path);
+  if (!body.ok()) return body.status();
 
   ArtifactManifest manifest;
-  bool saw_header = false;
-  bool saw_footer = false;
-  size_t line_start = 0;
-  int line_number = 0;
-  while (line_start < content.size()) {
-    size_t line_end = content.find('\n', line_start);
-    if (line_end == std::string::npos) line_end = content.size();
-    const std::string line =
-        content.substr(line_start, line_end - line_start);
-    ++line_number;
-    const std::string where =
-        path + ":" + std::to_string(line_number) + ": ";
-
-    if (!saw_header) {
-      if (line != kHeader) {
-        return Status::DataLoss(where + "not a manifest (bad header)");
-      }
-      saw_header = true;
-    } else if (StartsWith(line, kFooterPrefix)) {
-      uint32_t recorded = 0;
-      if (!ParseHex(line.substr(sizeof(kFooterPrefix) - 1), &recorded)) {
-        return Status::DataLoss(where + "unparsable manifest footer");
-      }
-      const uint32_t actual = Crc32(content.data(), line_start);
-      if (recorded != actual) {
-        return Status::DataLoss(path + ": manifest CRC mismatch (footer " +
-                                Hex32(recorded) + ", content " +
-                                Hex32(actual) + ")");
-      }
-      saw_footer = true;
-    } else if (saw_footer) {
-      return Status::DataLoss(where + "content after manifest footer");
-    } else if (!line.empty()) {
-      const std::vector<std::string> fields = Split(line, '\t');
-      ArtifactEntry entry;
-      uint64_t size = 0;
-      if (fields.size() != 5 || !ParseDec(fields[2], &size) ||
-          !ParseHex(fields[3], &entry.crc32) ||
-          !ParseHex(fields[4], &entry.config_fingerprint)) {
-        return Status::DataLoss(where + "malformed manifest line '" + line +
-                                "'");
-      }
-      entry.kind = fields[0];
-      entry.path = fields[1];
-      entry.size_bytes = size;
-      COANE_RETURN_IF_ERROR(manifest.Record(entry));
+  const std::vector<std::string> lines = Split(body.value(), '\n');
+  if (lines[0] != kHeader) {
+    return Status::DataLoss(path + ":1: not a manifest (bad header)");
+  }
+  for (size_t i = 1; i < lines.size(); ++i) {
+    const std::string& line = lines[i];
+    if (line.empty()) continue;
+    const std::vector<std::string> fields = Split(line, '\t');
+    ArtifactEntry entry;
+    if (fields.size() != 5 ||
+        !flags::ParseWhole(fields[2], &entry.size_bytes) ||
+        !flags::ParseWhole(fields[3], &entry.crc32, 16) ||
+        !flags::ParseWhole(fields[4], &entry.config_fingerprint, 16)) {
+      return Status::DataLoss(path + ":" + std::to_string(i + 1) +
+                              ": malformed manifest line '" + line + "'");
     }
-    line_start = line_end + 1;
-  }
-  if (!saw_header) {
-    return Status::DataLoss(path + ": empty manifest");
-  }
-  if (!saw_footer) {
-    return Status::DataLoss(path + ": manifest footer missing (truncated?)");
+    entry.kind = fields[0];
+    entry.path = fields[1];
+    COANE_RETURN_IF_ERROR(manifest.Record(entry));
   }
   return manifest;
 }

@@ -28,14 +28,13 @@ struct ArtifactEntry {
 /// pipeline verifies each artifact against its entry before trusting it:
 /// valid artifacts are reused, corrupt or stale ones are recomputed.
 ///
-/// On-disk format (tab-separated text, one artifact per line, trailing
-/// CRC-32 footer over everything above it — the manifest guards the
+/// On-disk format (tab-separated text, one artifact per line, sealed
+/// with SealText from common/checksum.h — the manifest guards the
 /// artifacts, the footer guards the manifest):
 ///
 ///   COANE-MANIFEST v1
 ///   <kind>\t<path>\t<size>\t<crc32 hex8>\t<fingerprint hex16>
 ///   ...
-///   # crc32 <hex8>
 ///
 /// Paths containing tab or newline characters cannot be recorded
 /// (Record rejects them). Load returns kDataLoss for any structural or

@@ -529,12 +529,18 @@ Status CoaneModel::LoadCheckpoint(const std::string& path) {
     return Status::DataLoss("decoder presence mismatch in " + path);
   }
 
-  // All-or-nothing: restore section by section, and on any failure roll
-  // the model back to the state it had before this call.
+  COANE_RETURN_IF_ERROR(RestoreSections(ckpt, /*restore_rng=*/true, path));
+  epochs_done_ = static_cast<int>(ckpt.epochs_done);
+  return Status::OK();
+}
+
+Status CoaneModel::RestoreSections(const TrainingCheckpoint& ckpt,
+                                   bool restore_rng,
+                                   const std::string& what) {
   const std::string backup = SnapshotState();
   Status st = [&]() -> Status {
-    if (!rng_.DeserializeState(ckpt.rng_state)) {
-      return Status::DataLoss("corrupt RNG section in " + path);
+    if (restore_rng && !rng_.DeserializeState(ckpt.rng_state)) {
+      return Status::DataLoss("corrupt RNG section in " + what);
     }
     ByteReader encoder_reader(ckpt.encoder_blob);
     COANE_RETURN_IF_ERROR(
@@ -545,9 +551,7 @@ Status CoaneModel::LoadCheckpoint(const std::string& path) {
           ReadMlpWeightsInto(&decoder_reader, decoder_.get()));
     }
     ByteReader optimizer_reader(ckpt.optimizer_blob);
-    COANE_RETURN_IF_ERROR(
-        ReadAdamStateInto(&optimizer_reader, &optimizer_));
-    return Status::OK();
+    return ReadAdamStateInto(&optimizer_reader, &optimizer_);
   }();
   if (!st.ok()) {
     const Status rollback = RestoreState(backup);
@@ -555,7 +559,6 @@ Status CoaneModel::LoadCheckpoint(const std::string& path) {
     return st;
   }
   optimizer_.set_learning_rate(ckpt.learning_rate);
-  epochs_done_ = static_cast<int>(ckpt.epochs_done);
   RenewEmbeddings();
   return Status::OK();
 }
@@ -580,30 +583,10 @@ Status CoaneModel::WarmStartFrom(const TrainingCheckpoint& ckpt) {
   }
   // No config/data-fingerprint checks: warm-starting across a mutation
   // batch legitimately crosses mask (and log-position) fingerprints.
-  // Shape mismatches are still caught section by section below.
-  const std::string backup = SnapshotState();
-  Status st = [&]() -> Status {
-    ByteReader encoder_reader(ckpt.encoder_blob);
-    COANE_RETURN_IF_ERROR(
-        ReadEncoderWeightsInto(&encoder_reader, encoder_.get()));
-    if (decoder_) {
-      ByteReader decoder_reader(ckpt.decoder_blob);
-      COANE_RETURN_IF_ERROR(
-          ReadMlpWeightsInto(&decoder_reader, decoder_.get()));
-    }
-    ByteReader optimizer_reader(ckpt.optimizer_blob);
-    COANE_RETURN_IF_ERROR(
-        ReadAdamStateInto(&optimizer_reader, &optimizer_));
-    return Status::OK();
-  }();
-  if (!st.ok()) {
-    const Status rollback = RestoreState(backup);
-    COANE_CHECK(rollback.ok());
-    return st;
-  }
-  optimizer_.set_learning_rate(ckpt.learning_rate);
+  // Shape mismatches are still caught section by section.
+  COANE_RETURN_IF_ERROR(
+      RestoreSections(ckpt, /*restore_rng=*/false, "warm-start state"));
   epochs_done_ = 0;  // config.max_epochs now bounds the refinement budget
-  RenewEmbeddings();
   return Status::OK();
 }
 
@@ -626,29 +609,7 @@ Status CoaneModel::ApplyAveragedState(const TrainingCheckpoint& merged) {
         " but this model is at epoch " + std::to_string(epochs_done_) +
         " — merges apply only at matching round boundaries");
   }
-  const std::string backup = SnapshotState();
-  Status st = [&]() -> Status {
-    ByteReader encoder_reader(merged.encoder_blob);
-    COANE_RETURN_IF_ERROR(
-        ReadEncoderWeightsInto(&encoder_reader, encoder_.get()));
-    if (decoder_) {
-      ByteReader decoder_reader(merged.decoder_blob);
-      COANE_RETURN_IF_ERROR(
-          ReadMlpWeightsInto(&decoder_reader, decoder_.get()));
-    }
-    ByteReader optimizer_reader(merged.optimizer_blob);
-    COANE_RETURN_IF_ERROR(
-        ReadAdamStateInto(&optimizer_reader, &optimizer_));
-    return Status::OK();
-  }();
-  if (!st.ok()) {
-    const Status rollback = RestoreState(backup);
-    COANE_CHECK(rollback.ok());
-    return st;
-  }
-  optimizer_.set_learning_rate(merged.learning_rate);
-  RenewEmbeddings();
-  return Status::OK();
+  return RestoreSections(merged, /*restore_rng=*/false, "merged state");
 }
 
 Result<DenseMatrix> TrainCoaneEmbeddings(const Graph& graph,

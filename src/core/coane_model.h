@@ -162,9 +162,17 @@ class CoaneModel {
   Status TrainBatch(const std::vector<NodeId>& batch, EpochStats* stats);
   // Serializes / restores the mutable training state (weights, optimizer
   // moments, RNG, learning rate) for divergence rollback and for
-  // LoadCheckpoint's all-or-nothing guarantee.
+  // RestoreSections' all-or-nothing guarantee.
   std::string SnapshotState() const;
   Status RestoreState(const std::string& blob);
+  // The all-or-nothing restore behind LoadCheckpoint, WarmStartFrom and
+  // ApplyAveragedState: reads the encoder, decoder and Adam sections of
+  // `ckpt` (and its RNG state when `restore_rng`), adopts its learning
+  // rate and renews the embeddings. On any failure the model is rolled
+  // back to its state before the call. `what` names the source in
+  // diagnostics. Callers keep their own gates and epochs_done_ rule.
+  Status RestoreSections(const TrainingCheckpoint& ckpt, bool restore_rng,
+                         const std::string& what);
   // Recomputes z_v for all nodes from the current encoder.
   void RenewEmbeddings();
   // Densifies feature rows of `batch` into a (batch x d) matrix.

@@ -25,7 +25,7 @@ struct RoundRecord {
   uint32_t merged_embeddings_crc = 0;
 };
 
-/// Durable, CRC-footered, sequence-gated log of committed rounds
+/// Durable, sealed, sequence-gated log of committed rounds
 /// (`rounds.tsv` in the work directory). The log is the coordinator's
 /// source of truth on restart: rounds it lists are done (their merged
 /// artifacts are attested in the coordinator manifest), and the next
@@ -34,11 +34,10 @@ struct RoundRecord {
 /// kFailedPrecondition, so a resurrected stale coordinator (or a replay
 /// of an old work dir) can never rewind or skip the round history.
 ///
-/// Format:
+/// Format (sealed with SealText, common/checksum.h):
 ///   COANE-ROUNDS v1 <plan fingerprint hex16>
 ///   <round>\t<end_epoch>\t<committed csv|->\t<missing csv|->\t
 ///       <degraded 0|1>\t<model crc hex8>\t<emb crc hex8>
-///   # crc32 <hex8>
 ///
 /// The whole file is rewritten atomically on every commit; a torn write
 /// therefore leaves the previous log intact, and Load rejects any

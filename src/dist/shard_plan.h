@@ -102,12 +102,12 @@ std::string MergedEmbeddingsKind(int round);
 /// existing directory is success. kIoError (errno text) otherwise.
 Status MakeDirs(const std::string& path);
 
-/// Writes the plan contract to PlanPath(work_dir) atomically:
+/// Writes the plan contract to PlanPath(work_dir) atomically, sealed with
+/// SealText (common/checksum.h):
 ///
 ///   COANE-PLAN v1
 ///   num_shards\t<n> ... (quorum, round_epochs, total_epochs)
 ///   fingerprint\t<hex16>
-///   # crc32 <hex8>
 Status SavePlanFile(const std::string& work_dir, const ShardPlan& plan);
 
 /// Verifies that the plan file at PlanPath(work_dir) describes `plan`:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/fault_injection.h"
 #include "graph/graph_builder.h"
 
@@ -10,15 +11,6 @@ namespace coane {
 namespace {
 
 constexpr uint64_t kFnvBasis = 14695981039346656037ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-uint64_t FnvMix(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFFULL;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 // The per-node missing-cell columns, walked in (node, col) order. The
 // cells are sorted by Graph's invariant, so one forward pointer suffices.

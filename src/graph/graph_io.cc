@@ -9,7 +9,9 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string_view>
 #include <unordered_set>
+#include <utility>
 
 #include "common/atomic_file.h"
 #include "common/checksum.h"
@@ -19,6 +21,9 @@
 
 namespace coane {
 namespace {
+
+// What SaveEmbeddings writes first: "# node embedding[<dim>]".
+constexpr char kEmbeddingsHeader[] = "# node embedding[";
 
 // Keep only this many example diagnostics in a LoadSummary so a fully
 // corrupt multi-gigabyte file cannot balloon memory through error strings.
@@ -596,7 +601,7 @@ Status SaveAttributedGraph(const Graph& graph, const std::string& edges_path,
 Status SaveEmbeddings(const DenseMatrix& embeddings,
                       const std::string& path) {
   std::ostringstream out;
-  out << "# node embedding[" << embeddings.cols() << "]\n";
+  out << kEmbeddingsHeader << embeddings.cols() << "]\n";
   for (int64_t i = 0; i < embeddings.rows(); ++i) {
     out << i;
     for (int64_t j = 0; j < embeddings.cols(); ++j) {
@@ -604,50 +609,35 @@ Status SaveEmbeddings(const DenseMatrix& embeddings,
     }
     out << "\n";
   }
-  // Trailing CRC-32 footer over every byte above it, so a reader can
-  // prove the floats it is about to consume are the floats that were
-  // written. Readers of the legacy format skip it as a comment.
-  std::string contents = out.str();
-  char footer[32];
-  std::snprintf(footer, sizeof(footer), "# crc32 %08x\n", Crc32(contents));
-  contents += footer;
-  return WriteFileAtomic(path, contents, "graph_io.save");
+  // Sealed so a reader can prove the floats it is about to consume are
+  // the floats that were written.
+  return WriteFileAtomic(path, SealText(std::move(out).str()),
+                         "graph_io.save");
 }
 
 Result<DenseMatrix> LoadEmbeddings(const std::string& path) {
   auto raw = ReadFileToString(path);
   if (!raw.ok()) return raw.status();
-  const std::string& content = raw.value();
+  // Text that carries SaveEmbeddings' header or any footer line must
+  // unseal in full, so corrupt, truncated or appended-to files are
+  // kDataLoss instead of floats consumed silently. Only text with
+  // neither (hand-written, legacy) loads unsealed.
+  std::string_view content = raw.value();
+  if (StartsWith(content, kEmbeddingsHeader) ||
+      HasSealFooterLine(content)) {
+    auto body = UnsealText(content, "embedding file " + path);
+    if (!body.ok()) return body.status();
+    content = body.value();
+  }
 
-  // Parse line by line, verifying any "# crc32 <hex8>" footer against the
-  // bytes that precede it. Files without a footer (hand-written, legacy)
-  // still load; a file *with* a footer must match it — corrupt floats are
-  // rejected as kDataLoss instead of being consumed silently.
   std::vector<std::vector<std::string>> data;
   size_t line_start = 0;
   while (line_start < content.size()) {
     size_t line_end = content.find('\n', line_start);
-    if (line_end == std::string::npos) line_end = content.size();
+    if (line_end == std::string_view::npos) line_end = content.size();
     const std::string trimmed =
         Trim(content.substr(line_start, line_end - line_start));
-    if (StartsWith(trimmed, "# crc32 ")) {
-      const std::string hex = trimmed.substr(8);
-      uint32_t recorded = 0;
-      auto [ptr, ec] =
-          std::from_chars(hex.data(), hex.data() + hex.size(), recorded, 16);
-      if (ec != std::errc() || ptr != hex.data() + hex.size()) {
-        return Status::DataLoss("unparsable CRC footer in " + path);
-      }
-      const uint32_t actual = Crc32(content.data(), line_start);
-      if (recorded != actual) {
-        char expect[16], got[16];
-        std::snprintf(expect, sizeof(expect), "%08x", recorded);
-        std::snprintf(got, sizeof(got), "%08x", actual);
-        return Status::DataLoss("embedding file " + path +
-                                " is corrupt: CRC footer " + expect +
-                                ", content " + got);
-      }
-    } else if (!trimmed.empty() && trimmed[0] != '#') {
+    if (!trimmed.empty() && trimmed[0] != '#') {
       data.push_back(SplitWhitespace(trimmed));
     }
     line_start = line_end + 1;

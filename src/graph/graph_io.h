@@ -127,16 +127,18 @@ Status SaveAttributedGraph(const Graph& graph, const std::string& edges_path,
                            const std::string& attributes_path,
                            const std::string& labels_path);
 
-/// Writes an n x d' embedding matrix as "node v1 v2 ... vd" lines,
-/// atomically (see SaveAttributedGraph), with a trailing "# crc32 <hex>"
-/// footer over the preceding bytes. Fault point: "graph_io.save".
+/// Writes an n x d' embedding matrix as "# node embedding[d']" followed
+/// by "node v1 v2 ... vd" lines, sealed (SealText in common/checksum.h)
+/// and written atomically (see SaveAttributedGraph). Fault point:
+/// "graph_io.save".
 Status SaveEmbeddings(const DenseMatrix& embeddings,
                       const std::string& path);
 
-/// Reads embeddings written by SaveEmbeddings. When the file carries a
-/// CRC footer it is verified first; a mismatch returns kDataLoss naming
-/// the path instead of consuming corrupt floats. Files without a footer
-/// (hand-written, pre-footer) still load.
+/// Reads embeddings written by SaveEmbeddings. Text that starts with that
+/// header or has a footer line must unseal (UnsealText): a CRC mismatch,
+/// a truncated or missing footer, or anything after the footer returns
+/// kDataLoss naming the path instead of consuming corrupt floats. Only
+/// text with neither (hand-written, legacy) loads unsealed.
 Result<DenseMatrix> LoadEmbeddings(const std::string& path);
 
 }  // namespace coane

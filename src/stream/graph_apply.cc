@@ -7,6 +7,7 @@
 #include <set>
 #include <utility>
 
+#include "common/checksum.h"
 #include "graph/graph_builder.h"
 
 namespace coane {
@@ -14,15 +15,6 @@ namespace stream {
 namespace {
 
 constexpr uint64_t kFnvBasis = 14695981039346656037ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-uint64_t FnvMix(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFFULL;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 uint64_t FloatBits(float value) {
   uint32_t bits = 0;

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -13,6 +12,7 @@
 #include "common/atomic_file.h"
 #include "common/checksum.h"
 #include "common/fault_injection.h"
+#include "common/flags.h"
 #include "common/string_utils.h"
 
 namespace coane {
@@ -20,14 +20,6 @@ namespace stream {
 namespace {
 
 constexpr char kLogHeader[] = "COANE-MLOG v1";
-
-template <typename T>
-bool ParseInt(const std::string& token, T* out) {
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  auto [ptr, ec] = std::from_chars(begin, end, *out);
-  return ec == std::errc() && ptr == end && !token.empty();
-}
 
 bool ParseFiniteFloat(const std::string& token, float* out) {
   char* end = nullptr;
@@ -50,10 +42,7 @@ std::string FormatRecordLine(const Mutation& m) {
   std::string line = std::to_string(m.seq) + " " +
                      std::to_string(m.unix_ms) + " " +
                      FormatMutationBody(m);
-  char crc[16];
-  std::snprintf(crc, sizeof(crc), " #%08x", Crc32(line));
-  line += crc;
-  return line;
+  return line + " #" + Hex32(Crc32(line));
 }
 
 Status ParseRecordLine(const std::string& line, uint64_t expected_seq,
@@ -63,13 +52,9 @@ Status ParseRecordLine(const std::string& line, uint64_t expected_seq,
     return Status::DataLoss("record has no CRC footer");
   }
   uint32_t recorded = 0;
-  {
-    const char* begin = line.data() + hash + 2;
-    auto [ptr, ec] =
-        std::from_chars(begin, line.data() + line.size(), recorded, 16);
-    if (ec != std::errc() || ptr != line.data() + line.size()) {
-      return Status::DataLoss("record has a malformed CRC footer");
-    }
+  if (!flags::ParseWhole(std::string_view(line).substr(hash + 2), &recorded,
+                         16)) {
+    return Status::DataLoss("record has a malformed CRC footer");
   }
   const uint32_t actual = Crc32(line.data(), hash);
   if (actual != recorded) {
@@ -85,8 +70,8 @@ Status ParseRecordLine(const std::string& line, uint64_t expected_seq,
   }
   uint64_t seq = 0;
   int64_t unix_ms = 0;
-  if (!ParseInt(payload.substr(0, sp1), &seq) ||
-      !ParseInt(payload.substr(sp1 + 1, sp2 - sp1 - 1), &unix_ms)) {
+  if (!flags::ParseWhole(payload.substr(0, sp1), &seq) ||
+      !flags::ParseWhole(payload.substr(sp1 + 1, sp2 - sp1 - 1), &unix_ms)) {
     return Status::DataLoss("record has malformed seq/timestamp fields");
   }
   if (seq == 0) return Status::DataLoss("record sequence 0 is reserved");
@@ -146,7 +131,7 @@ Result<Mutation> ParseMutationBody(const std::string& body) {
   const std::string& op = tokens[0];
   auto node_arg = [&](size_t i, NodeId* out) -> Status {
     NodeId id = 0;
-    if (!ParseInt(tokens[i], &id) || id < 0) {
+    if (!flags::ParseWhole(tokens[i], &id) || id < 0) {
       return Status::InvalidArgument("mutation '" + body +
                                      "': bad node id '" + tokens[i] + "'");
     }
@@ -187,7 +172,7 @@ Result<Mutation> ParseMutationBody(const std::string& body) {
     }
     m.op = MutationOp::kAddNode;
     COANE_RETURN_IF_ERROR(node_arg(1, &m.u));
-    if (!ParseInt(tokens[2], &m.label) || m.label < -1) {
+    if (!flags::ParseWhole(tokens[2], &m.label) || m.label < -1) {
       return Status::InvalidArgument("node+ label '" + tokens[2] +
                                      "' must be an integer >= -1");
     }
@@ -199,7 +184,7 @@ Result<Mutation> ParseMutationBody(const std::string& body) {
     }
     m.op = MutationOp::kSetAttr;
     COANE_RETURN_IF_ERROR(node_arg(1, &m.u));
-    if (!ParseInt(tokens[2], &m.col) || m.col < 0) {
+    if (!flags::ParseWhole(tokens[2], &m.col) || m.col < 0) {
       return Status::InvalidArgument("attr column '" + tokens[2] +
                                      "' must be a non-negative integer");
     }

@@ -1,6 +1,5 @@
 #include "stream/pipeline.h"
 
-#include <cstdio>
 #include <utility>
 
 #include "common/atomic_file.h"
@@ -22,27 +21,6 @@ namespace stream {
 namespace {
 
 constexpr char kStateHeader[] = "COANE-STREAM v1";
-
-std::string Hex16(uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-bool ParseHex16(const std::string& token, uint64_t* out) {
-  if (token.size() != 16) return false;
-  uint64_t value = 0;
-  for (const char c : token) {
-    int digit;
-    if (c >= '0' && c <= '9') digit = c - '0';
-    else if (c >= 'a' && c <= 'f') digit = c - 'a' + 10;
-    else return false;
-    value = (value << 4) | static_cast<uint64_t>(digit);
-  }
-  *out = value;
-  return true;
-}
 
 /// Node ids whose attribute rows were unobserved at train time.
 std::vector<NodeId> UnobservedNodes(const Graph& graph) {
@@ -94,22 +72,11 @@ Result<std::unique_ptr<StreamPipeline>> StreamPipeline::Open(
   // --- Committed state, if any.
   auto state_read = ReadFileToString(p->state_path());
   if (state_read.ok()) {
-    const std::string& blob = state_read.value();
-    const size_t footer_at = blob.rfind("# crc32 ");
-    if (footer_at == std::string::npos) {
-      return Status::DataLoss("stream state " + p->state_path() +
-                              " is missing its CRC footer");
-    }
-    uint32_t recorded = 0;
-    if (std::sscanf(blob.c_str() + footer_at, "# crc32 %8x", &recorded) !=
-            1 ||
-        Crc32(blob.data(), footer_at) != recorded) {
-      return Status::DataLoss("stream state " + p->state_path() +
-                              " failed its CRC check");
-    }
-    const std::vector<std::string> lines =
-        Split(blob.substr(0, footer_at), '\n');
-    if (lines.empty() || lines[0] != kStateHeader) {
+    auto body = UnsealText(state_read.value(), "stream state " +
+                                                   p->state_path());
+    if (!body.ok()) return body.status();
+    const std::vector<std::string> lines = Split(body.value(), '\n');
+    if (lines[0] != kStateHeader) {
       return Status::DataLoss("stream state " + p->state_path() +
                               " has a bad header");
     }
@@ -125,7 +92,7 @@ Result<std::unique_ptr<StreamPipeline>> StreamPipeline::Open(
       if (kv[0] == "log_seq") {
         ok = flags::ParseWhole(kv[1], &p->log_seq_);
       } else if (kv[0] == "chain_fingerprint") {
-        ok = ParseHex16(kv[1], &committed_chain);
+        ok = flags::ParseWhole(kv[1], &committed_chain, 16);
       } else if (kv[0] == "publish_count") {
         ok = flags::ParseWhole(kv[1], &p->publish_count_);
       } else if (kv[0] == "checkpoint") {
@@ -399,16 +366,13 @@ Status StreamPipeline::CommitState() {
   std::string body(kStateHeader);
   body += "\n";
   body += "log_seq\t" + std::to_string(log_seq_) + "\n";
-  body += "chain_fingerprint\t" + Hex16(chain_) + "\n";
+  body += "chain_fingerprint\t" + Hex64(chain_) + "\n";
   body += "publish_count\t" + std::to_string(publish_count_) + "\n";
   body += "checkpoint\t" + ckpt_path_ + "\n";
   body += "embeddings\t" + emb_path_ + "\n";
   body += "walks\t" + walks_path_ + "\n";
-  char footer[32];
-  std::snprintf(footer, sizeof(footer), "# crc32 %08x", Crc32(body));
-  body += footer;
-  body += "\n";
-  return WriteFileAtomic(state_path(), body, "stream.state_save");
+  return WriteFileAtomic(state_path(), SealText(std::move(body)),
+                         "stream.state_save");
 }
 
 }  // namespace stream

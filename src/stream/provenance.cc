@@ -1,10 +1,10 @@
 #include "stream/provenance.h"
 
-#include <charconv>
-#include <cstdio>
+#include <utility>
 
 #include "common/atomic_file.h"
 #include "common/checksum.h"
+#include "common/flags.h"
 #include "common/string_utils.h"
 
 namespace coane {
@@ -12,37 +12,6 @@ namespace stream {
 namespace {
 
 constexpr char kPubHeader[] = "COANE-PUB v1";
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-uint64_t FnvMix(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFFULL;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::string Hex16(uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-bool ParseHex16(const std::string& token, uint64_t* out) {
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  auto [ptr, ec] = std::from_chars(begin, end, *out, 16);
-  return ec == std::errc() && ptr == end && !token.empty();
-}
-
-template <typename T>
-bool ParseInt(const std::string& token, T* out) {
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  auto [ptr, ec] = std::from_chars(begin, end, *out);
-  return ec == std::errc() && ptr == end && !token.empty();
-}
 
 Status Corrupt(const std::string& path, const std::string& why) {
   return Status::DataLoss("publish sidecar " + path + ": " + why);
@@ -66,9 +35,9 @@ Status SavePublishInfo(const PublishInfo& info, const std::string& path) {
   std::string body(kPubHeader);
   body += "\n";
   body += "log_seq " + std::to_string(info.log_seq) + "\n";
-  body += "chain_fingerprint " + Hex16(info.chain_fingerprint) + "\n";
-  body += "mask_fingerprint " + Hex16(info.mask_fingerprint) + "\n";
-  body += "config_fingerprint " + Hex16(info.config_fingerprint) + "\n";
+  body += "chain_fingerprint " + Hex64(info.chain_fingerprint) + "\n";
+  body += "mask_fingerprint " + Hex64(info.mask_fingerprint) + "\n";
+  body += "config_fingerprint " + Hex64(info.config_fingerprint) + "\n";
   body += "created_unix_ms " + std::to_string(info.created_unix_ms) + "\n";
   body += std::string("missing_attrs ") +
           MissingAttrPolicyName(info.missing_attrs) + "\n";
@@ -77,46 +46,18 @@ Status SavePublishInfo(const PublishInfo& info, const std::string& path) {
     body += " " + std::to_string(v);
   }
   body += "\n";
-  char footer[32];
-  std::snprintf(footer, sizeof(footer), "# crc32 %08x", Crc32(body));
-  body += footer;
-  body += "\n";
-  return WriteFileAtomic(path, body, "stream.pub_save");
+  return WriteFileAtomic(path, SealText(std::move(body)), "stream.pub_save");
 }
 
 Result<PublishInfo> LoadPublishInfo(const std::string& path) {
   auto read = ReadFileToString(path);
   if (!read.ok()) return read.status();
-  const std::string& blob = read.value();
 
-  const size_t footer_at = blob.rfind("# crc32 ");
-  if (footer_at == std::string::npos) {
-    return Corrupt(path, "missing CRC footer");
-  }
-  const std::string footer_hex =
-      blob.substr(footer_at + 8, blob.size() - footer_at - 8);
-  uint32_t recorded = 0;
-  {
-    const std::string trimmed =
-        footer_hex.empty() ? footer_hex
-                           : footer_hex.substr(0, footer_hex.find('\n'));
-    const char* begin = trimmed.data();
-    auto [ptr, ec] =
-        std::from_chars(begin, begin + trimmed.size(), recorded, 16);
-    if (ec != std::errc() || ptr != begin + trimmed.size() ||
-        trimmed.size() != 8) {
-      return Corrupt(path, "malformed CRC footer");
-    }
-  }
-  if (Crc32(blob.data(), footer_at) != recorded) {
-    return Corrupt(path, "CRC mismatch");
-  }
+  auto body = UnsealText(read.value(), "publish sidecar " + path);
+  if (!body.ok()) return body.status();
 
-  const std::vector<std::string> lines =
-      Split(blob.substr(0, footer_at), '\n');
-  if (lines.empty() || lines[0] != kPubHeader) {
-    return Corrupt(path, "bad header");
-  }
+  const std::vector<std::string> lines = Split(body.value(), '\n');
+  if (lines[0] != kPubHeader) return Corrupt(path, "bad header");
   PublishInfo info;
   bool saw_unobserved = false;
   for (size_t i = 1; i < lines.size(); ++i) {
@@ -127,23 +68,23 @@ Result<PublishInfo> LoadPublishInfo(const std::string& path) {
     }
     const std::string& key = tokens[0];
     if (key == "log_seq") {
-      if (!ParseInt(tokens[1], &info.log_seq)) {
+      if (!flags::ParseWhole(tokens[1], &info.log_seq)) {
         return Corrupt(path, "bad log_seq");
       }
     } else if (key == "chain_fingerprint") {
-      if (!ParseHex16(tokens[1], &info.chain_fingerprint)) {
+      if (!flags::ParseWhole(tokens[1], &info.chain_fingerprint, 16)) {
         return Corrupt(path, "bad chain_fingerprint");
       }
     } else if (key == "mask_fingerprint") {
-      if (!ParseHex16(tokens[1], &info.mask_fingerprint)) {
+      if (!flags::ParseWhole(tokens[1], &info.mask_fingerprint, 16)) {
         return Corrupt(path, "bad mask_fingerprint");
       }
     } else if (key == "config_fingerprint") {
-      if (!ParseHex16(tokens[1], &info.config_fingerprint)) {
+      if (!flags::ParseWhole(tokens[1], &info.config_fingerprint, 16)) {
         return Corrupt(path, "bad config_fingerprint");
       }
     } else if (key == "created_unix_ms") {
-      if (!ParseInt(tokens[1], &info.created_unix_ms)) {
+      if (!flags::ParseWhole(tokens[1], &info.created_unix_ms)) {
         return Corrupt(path, "bad created_unix_ms");
       }
     } else if (key == "missing_attrs") {
@@ -152,13 +93,14 @@ Result<PublishInfo> LoadPublishInfo(const std::string& path) {
       info.missing_attrs = policy.value();
     } else if (key == "unobserved") {
       size_t count = 0;
-      if (!ParseInt(tokens[1], &count) || tokens.size() != count + 2) {
+      if (!flags::ParseWhole(tokens[1], &count) ||
+          tokens.size() != count + 2) {
         return Corrupt(path, "bad unobserved list");
       }
       info.unobserved.reserve(count);
       for (size_t t = 2; t < tokens.size(); ++t) {
         NodeId v = 0;
-        if (!ParseInt(tokens[t], &v) || v < 0) {
+        if (!flags::ParseWhole(tokens[t], &v) || v < 0) {
           return Corrupt(path, "bad unobserved id '" + tokens[t] + "'");
         }
         if (!info.unobserved.empty() && v <= info.unobserved.back()) {

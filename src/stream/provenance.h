@@ -20,8 +20,8 @@ namespace stream {
 /// answer queries for unobserved nodes with NotFound instead of a vector
 /// that is pure imputation.
 ///
-/// On-disk format (text, atomic write, trailing "# crc32 <hex8>" footer
-/// over the preceding bytes):
+/// On-disk format (text, atomic write, sealed with SealText from
+/// common/checksum.h):
 ///
 ///   COANE-PUB v1
 ///   log_seq <u64>

@@ -11,6 +11,7 @@
 #include "common/atomic_file.h"
 #include "common/checksum.h"
 #include "common/fault_injection.h"
+#include "common/string_utils.h"
 
 namespace coane {
 namespace {
@@ -35,6 +36,63 @@ TEST(ChecksumTest, IncrementalMatchesOneShot) {
   uint32_t running = Crc32(data.data(), 7);
   running = Crc32(data.data() + 7, data.size() - 7, running);
   EXPECT_EQ(running, one_shot);
+}
+
+TEST(SealedTextTest, SealAppendsOneFooterLine) {
+  EXPECT_EQ(SealText("a\n"),
+            "a\n# crc32 " + Hex32(Crc32(std::string("a\n"))) + "\n");
+  EXPECT_EQ(SealText(""), "# crc32 00000000\n");
+}
+
+TEST(SealedTextTest, UnsealReturnsBodyViewWithoutCopy) {
+  const std::string sealed = SealText("header\nrow 1\n");
+  auto body = UnsealText(sealed, "fixture");
+  ASSERT_TRUE(body.ok()) << body.status().ToString();
+  EXPECT_EQ(body.value(), "header\nrow 1\n");
+  EXPECT_EQ(body.value().data(), sealed.data());
+  auto empty = UnsealText(SealText(""), "fixture");
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty.value().empty());
+}
+
+TEST(SealedTextTest, UnsealRejectsEveryLooseVariant) {
+  const std::string sealed = SealText("header\nrow 1\n");
+  std::string upper = sealed;
+  const size_t digit = upper.find_first_of("abcdef", upper.size() - 9);
+  ASSERT_NE(digit, std::string::npos) << "fixture CRC needs a letter digit";
+  upper[digit] = static_cast<char>(upper[digit] - 'a' + 'A');
+  const std::string variants[] = {
+      sealed + "extra\n",                           // line after footer
+      sealed.substr(0, sealed.size() - 1),           // final \n removed
+      sealed.substr(0, sealed.size() - 2) + "\n",    // 7 hex digits
+      "header\nrow 1" + sealed.substr(13),           // footer mid-line
+      upper,                                         // case-flipped digit
+      "",                                            // empty file
+  };
+  for (const std::string& v : variants) {
+    auto body = UnsealText(v, "fixture.tsv");
+    ASSERT_FALSE(body.ok()) << "accepted: " << v;
+    EXPECT_EQ(body.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(body.status().message().find("fixture.tsv"), std::string::npos)
+        << body.status().ToString();
+  }
+}
+
+TEST(SealedTextTest, FooterLineDetection) {
+  EXPECT_TRUE(HasSealFooterLine(SealText("x\n")));
+  EXPECT_TRUE(HasSealFooterLine("# crc32 "));
+  EXPECT_FALSE(HasSealFooterLine("0 1.0 # crc32 \n"));
+  EXPECT_FALSE(HasSealFooterLine("# hand-written\n0 1.0\n"));
+}
+
+TEST(FnvMixTest, MatchesFnv1aOverLittleEndianBytes) {
+  uint64_t expected = 14695981039346656037ULL;
+  for (const uint8_t byte : {0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01}) {
+    expected ^= byte;
+    expected *= 1099511628211ULL;
+  }
+  EXPECT_EQ(FnvMix(14695981039346656037ULL, 0x0102030405060708ULL),
+            expected);
 }
 
 TEST(AtomicFileTest, WritesAndReplaces) {

@@ -167,6 +167,49 @@ TEST_F(GraphIoTest, LegacyEmbeddingsWithoutFooterStillLoad) {
   std::remove(path.c_str());
 }
 
+// A row appended after the footer is not covered by the CRC: the file
+// must be rejected, not loaded with the extra row.
+TEST_F(GraphIoTest, EmbeddingsRowAfterFooterRejected) {
+  DenseMatrix m(3, 2);
+  for (int i = 0; i < 6; ++i) m.data()[i] = 0.5f * static_cast<float>(i);
+  const std::string path = "/tmp/coane_io_embed_appended.txt";
+  ASSERT_TRUE(SaveEmbeddings(m, path).ok());
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out << "3 9 9\n";
+  }
+  auto loaded = LoadEmbeddings(path);
+  ASSERT_FALSE(loaded.ok()) << "loaded " << loaded.value().rows() << " rows";
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  std::remove(path.c_str());
+}
+
+// A file cut before its footer still starts with SaveEmbeddings' header,
+// so it must not be taken for a footer-less legacy file.
+TEST_F(GraphIoTest, EmbeddingsCutBeforeFooterRejected) {
+  DenseMatrix m(3, 2);
+  for (int i = 0; i < 6; ++i) m.data()[i] = 0.5f * static_cast<float>(i);
+  const std::string path = "/tmp/coane_io_embed_cut.txt";
+  ASSERT_TRUE(SaveEmbeddings(m, path).ok());
+  std::string contents;
+  {
+    std::ifstream in(path, std::ios::binary);
+    contents.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+  }
+  // Keep the header and the first two rows; drop the last row and footer.
+  size_t cut = 0;
+  for (int line = 0; line < 3; ++line) cut = contents.find('\n', cut) + 1;
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << contents.substr(0, cut);
+  }
+  auto loaded = LoadEmbeddings(path);
+  ASSERT_FALSE(loaded.ok()) << "loaded " << loaded.value().rows() << " rows";
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  std::remove(path.c_str());
+}
+
 TEST_F(GraphIoTest, AttributeNodeOutOfRangeFails) {
   {
     std::ofstream out(edges_path_);
